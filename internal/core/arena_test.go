@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,6 +56,52 @@ func FuzzZeroLanes(f *testing.F) {
 		}
 		if got, want := zeroLanes8(x), naiveZeroLanes(x, 8); got != want {
 			t.Fatalf("zeroLanes8(%#x) = %d, want %d", x, got, want)
+		}
+	})
+}
+
+// FuzzSparseMatchingSlots cross-checks the sparse full-width verifier
+// against the dense matchingSlots. data supplies two full-width rows
+// (16 bytes per slot); each byte of kinds shapes one slot pair: 1
+// forces the slots equal, 2 makes them agree on their low 32 bits only
+// (a packed-lane collision the full compare must reject), anything
+// else leaves them as drawn. Odd slot counts leave padding lanes in the
+// last packed word.
+func FuzzSparseMatchingSlots(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), []byte{1})
+	f.Add([]byte(strings.Repeat("slot-pair-bytes!", 9)), []byte{0, 1, 2})
+	f.Add(make([]byte, 16*128), []byte{0})
+	f.Fuzz(func(t *testing.T, data, kinds []byte) {
+		slots := len(data) / 16
+		if slots == 0 || slots > 256 {
+			return
+		}
+		a := make([]uint64, slots)
+		b := make([]uint64, slots)
+		for i := range a {
+			a[i] = binary.LittleEndian.Uint64(data[16*i:])
+			b[i] = binary.LittleEndian.Uint64(data[16*i+8:])
+			if len(kinds) == 0 {
+				continue
+			}
+			switch kinds[i%len(kinds)] {
+			case 1:
+				b[i] = a[i]
+			case 2:
+				b[i] = a[i] ^ (b[i]|1)<<32
+			}
+		}
+		want := matchingSlots(a, b)
+		for _, bits := range []int{8, 16, 64} {
+			pa := packSignatureAppend(nil, a, bits)
+			pb := packSignatureAppend(nil, b, bits)
+			packed := packedMatchingSlots(pa, pb, slots, bits)
+			if packed < want {
+				t.Fatalf("bits=%d slots=%d: packed count %d below full count %d", bits, slots, packed, want)
+			}
+			if got := sparseMatchingSlots(a, b, pa, pb, bits, packed); got != want {
+				t.Fatalf("bits=%d slots=%d: sparseMatchingSlots = %d, matchingSlots = %d", bits, slots, got, want)
+			}
 		}
 	})
 }

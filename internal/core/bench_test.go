@@ -261,3 +261,51 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.ReportMetric(float64(ws.FsyncNanos)/float64(ws.Fsyncs), "wal_fsync_ns")
 	}
 }
+
+// BenchmarkSearchTieredMiss measures the typical query on a tiered
+// index: 10k random 1 KiB records in a sealed 8-bit index, queried by a
+// record with no planted neighbours, so every row's full-width score is
+// ~0 and the LSH probe finds nothing, which sends lsh mode to its
+// fallback scan. Alongside ns/op it reports the rows read full-width
+// per search (TierStats.Rescored delta), the cost the rescore's exact
+// cuts bound.
+func BenchmarkSearchTieredMiss(b *testing.B) {
+	const n = 10000
+	// A benchmark with sub-benchmarks runs its body once, so the corpus
+	// is built once per -count.
+	eng, err := NewEngine(Options{IndexName: "bench", Bits: 8, Tiered: true, DataDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := eng.Index()
+	defer ix.Close()
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Name: fmt.Sprintf("rec-%05d", i), Data: benchData(1<<10, int64(i+1))}
+	}
+	if _, err := eng.AddBatch(recs); err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.SaveDir(); err != nil {
+		b.Fatal(err)
+	}
+	q := eng.Sketcher().Sketch(Record{Name: "miss", Data: benchData(1<<10, -1)})
+	for _, mode := range []struct {
+		name   string
+		search func(*Index, *Sketch, int, float64, *Pool) ([]Result, error)
+	}{{"exact", SearchTopK}, {"lsh", SearchTopKLSH}} {
+		b.Run(mode.name, func(b *testing.B) {
+			pool := NewPool(0)
+			before := ix.Tier().Rescored
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mode.search(ix, q, 10, 0, pool); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			// After the loop: ResetTimer deletes user-reported metrics.
+			b.ReportMetric(float64(ix.Tier().Rescored-before)/float64(b.N), "rescored/op")
+		})
+	}
+}

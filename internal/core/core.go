@@ -290,8 +290,10 @@ type Stats struct {
 	TombstoneRatio float64 `json:"tombstone_ratio,omitempty"`
 	Compactions    uint64  `json:"compactions,omitempty"`
 	CompactedRows  uint64  `json:"compacted_rows,omitempty"`
-	// Tier and WAL are present only on tiered indexes, so non-tiered
-	// /stats output is byte-identical to previous releases.
+	// LSHFallbacks counts LSH searches whose candidates could not
+	// fill K, so they scored the rest of the corpus as well.
+	LSHFallbacks uint64 `json:"lsh_fallback_scans"`
+	// Tier and WAL are present only on tiered indexes.
 	Tier *TierStats `json:"tier,omitempty"`
 	WAL  *WALStats  `json:"wal,omitempty"`
 }
@@ -332,6 +334,7 @@ func (e *Engine) Stats() Stats {
 		TombstoneRatio: tombRatio,
 		Compactions:    e.index.compactions.Load(),
 		CompactedRows:  e.index.compactedRows.Load(),
+		LSHFallbacks:   e.index.lshFallbacks.Load(),
 		Tier:           e.index.Tier(),
 		WAL:            e.index.WAL(),
 	}

@@ -85,26 +85,73 @@ func packedMatchingSlots(a, b []uint64, slots, bits int) int {
 }
 
 // zeroLanes16 counts the 16-bit lanes of x that are zero, branch-free:
-// each lane's bits are OR-folded down to its lowest bit (the cross-lane
-// garbage the shifts drag into upper bit positions never reaches bit 0
-// of a lane, because every shift distance is smaller than the lane
-// width), then the surviving "lane is nonzero" bits are popcounted.
-// Unlike the classic (x-lo)&^x&hi borrow trick, the OR fold is exact —
-// borrows between lanes cannot miscount.
-func zeroLanes16(x uint64) int {
+// the popcount of zeroMask16(x).
+func zeroLanes16(x uint64) int { return bits.OnesCount64(zeroMask16(x)) }
+
+// zeroLanes8 is zeroLanes16 for 8-bit lanes: 8 slots per word op.
+func zeroLanes8(x uint64) int { return bits.OnesCount64(zeroMask8(x)) }
+
+// zeroMask16 returns a word with the lowest bit of every zero 16-bit
+// lane of x set. Each lane's bits are OR-folded down to its lowest bit
+// (the cross-lane garbage the shifts drag into upper bit positions
+// never reaches bit 0 of a lane, because every shift distance is
+// smaller than the lane width), leaving "lane is nonzero" bits to
+// invert. Unlike the classic (x-lo)&^x&hi borrow trick, the OR fold is
+// exact — borrows between lanes cannot miscount.
+func zeroMask16(x uint64) uint64 {
 	x |= x >> 8
 	x |= x >> 4
 	x |= x >> 2
 	x |= x >> 1
-	return 4 - bits.OnesCount64(x&0x0001000100010001)
+	return ^x & 0x0001000100010001
 }
 
-// zeroLanes8 is zeroLanes16 for 8-bit lanes: 8 slots per word op.
-func zeroLanes8(x uint64) int {
+// zeroMask8 is zeroMask16 for 8-bit lanes.
+func zeroMask8(x uint64) uint64 {
 	x |= x >> 4
 	x |= x >> 2
 	x |= x >> 1
-	return 8 - bits.OnesCount64(x&0x0101010101010101)
+	return ^x & 0x0101010101010101
+}
+
+// sparseMatchingSlots is matchingSlots(a, b) for full-width rows a and
+// b whose packed images at laneBits are pa and pb (see sigArena), given
+// lanes = packedMatchingSlots(pa, pb, len(a), laneBits). A full-width
+// slot can match only where its packed lane matched, so it compares
+// just those slots: the packed words are XORed, the zero-lane mask is
+// walked bit by bit (padding lanes past len(a) are ignored), and the
+// walk ends once it has visited `lanes` matching lanes. On dissimilar
+// rows that is a handful of compares instead of len(a). At 64 bits the
+// packed rows are the full rows, so lanes already is the count.
+func sparseMatchingSlots(a, b, pa, pb []uint64, laneBits, lanes int) int {
+	if laneBits != 8 && laneBits != 16 {
+		return lanes
+	}
+	// Lane widths are powers of two: lane = bit>>shift, and a word holds
+	// 64>>shift lanes.
+	shift := uint(bits.TrailingZeros(uint(laneBits)))
+	b = b[:len(a)]
+	pb = pb[:len(pa)]
+	m := 0
+	for w := 0; lanes > 0 && w < len(pa); w++ {
+		var z uint64
+		if laneBits == 8 {
+			z = zeroMask8(pa[w] ^ pb[w])
+		} else {
+			z = zeroMask16(pa[w] ^ pb[w])
+		}
+		for ; z != 0; z &= z - 1 {
+			s := w<<(6-shift) + bits.TrailingZeros64(z)>>shift
+			if s >= len(a) {
+				break // padding: only the last word has any
+			}
+			lanes--
+			if a[s] == b[s] {
+				m++
+			}
+		}
+	}
+	return m
 }
 
 // Distance is 1 - Similarity.

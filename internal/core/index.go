@@ -81,6 +81,7 @@ type Index struct {
 
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
+	lshFallbacks  atomic.Uint64 // LSH searches that fell back to scanning the rest
 }
 
 // NewIndex returns an empty index accepting sketches with the given

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -114,12 +115,15 @@ type scoredCand struct {
 // shardScratch is the per-shard scratch of one query: the candidate
 // bitset and index list filled by the LSH probe, the shard's local
 // result buffer for parallel scans, and (tiered indexes) the prefilter
-// survivor list plus the pread-path row decode buffer.
+// survivor list, its rescore-order copy and counting-sort histogram,
+// plus the pread-path row decode buffer.
 type shardScratch struct {
 	candSet []uint64 // bitset over shard-local record indexes
 	cands   []int32
 	results []Result
-	scored  []scoredCand
+	scored  []scoredCand // prefilter survivors in ascending idx order
+	order   []scoredCand // scored sorted by (matched desc, idx asc)
+	buckets []int32      // per-matched-count offsets for the sort
 	rsc     rowScratch
 
 	// gen is the shard's structGen at probe time; a mismatch at scoring
@@ -142,6 +146,36 @@ func (sc *shardScratch) resetFor(n int) {
 	}
 	sc.cands = sc.cands[:0]
 	sc.fullScanned = false
+}
+
+// sortSurvivors returns sc.scored in rescore order — descending packed
+// match count, ties by ascending row index — with a counting sort over
+// matched ∈ [0, slots]. sc.scored must already be in ascending idx
+// order; the sort is stable, so each bucket keeps it. Both buffers are
+// reused across queries.
+func (sc *shardScratch) sortSurvivors(slots int) []scoredCand {
+	if cap(sc.buckets) <= slots {
+		sc.buckets = make([]int32, slots+1)
+	} else {
+		sc.buckets = sc.buckets[:slots+1]
+		clear(sc.buckets)
+	}
+	for _, c := range sc.scored {
+		sc.buckets[c.matched]++
+	}
+	// Turn counts into start offsets, best bucket first.
+	var off int32
+	for m := slots; m >= 0; m-- {
+		n := sc.buckets[m]
+		sc.buckets[m] = off
+		off += n
+	}
+	sc.order = slices.Grow(sc.order[:0], len(sc.scored))[:len(sc.scored)]
+	for _, c := range sc.scored {
+		sc.order[sc.buckets[c.matched]] = c
+		sc.buckets[c.matched]++
+	}
+	return sc.order
 }
 
 // searchBuf holds the scratch state of one top-K search: the packed
@@ -361,6 +395,7 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 		// Fallback: score only the records the candidate pass skipped
 		// (each shard's bitset marks its probed rows), so no record is
 		// scored twice and the merged set matches an exact scan.
+		ix.lshFallbacks.Add(1)
 		merged = runScan(buf, shards, q, topK, minSim, pool, n-totalCand, scanRest)
 	}
 	if err := q.cancel.err(); err != nil {

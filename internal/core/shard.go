@@ -359,6 +359,9 @@ func (sh *shard) tieredScoreCandidates(dst []Result, q *packedQuery, minSim floa
 		}
 		return sh.tieredRescore(dst, q, minSim, topK, sc, len(sh.names))
 	}
+	// The probe appends in band order; the rescore's bucket sort wants
+	// survivors in idx order.
+	slices.Sort(sc.cands)
 	for i, idx := range sc.cands {
 		if i%cancelCheckEvery == 0 && q.cancel.canceled() {
 			return dst
@@ -415,13 +418,17 @@ func (sh *shard) prefilterRow(q *packedQuery, minSim float64, idx int32, sc *sha
 
 // tieredRescore reads the prefilter survivors in sc.scored full-width
 // from the shard's tier, best packed score first, and appends the
-// shard's top-K results to dst. Because the packed score upper-bounds
-// the full score, the walk stops as soon as the next candidate's bound
-// falls below the K-th best full score found so far — on selective
-// queries only a handful of rows are ever read from disk. A positive
-// tier budget additionally caps the full-width reads; rows that fail to
-// read are counted and skipped rather than failing the query. scanned
-// is the row count the prefilter phase covered, for the survival-rate
+// shard's top-K results to dst. The packed score upper-bounds the full
+// score, so once the heap holds K results a candidate is read only if
+// its bound can still place it: the walk stops at the first bound
+// below the K-th best full score, and a bound equal to it is skipped
+// unless the row's name wins resultBetter's tie-break against the
+// heap root. On selective queries only a handful of rows are ever
+// read from disk. A read row compares only the full-width slots whose
+// packed lanes matched (sparseMatchingSlots). A positive tier budget
+// additionally caps the full-width reads; rows that fail to read are
+// counted and skipped rather than failing the query. scanned is the
+// row count the prefilter phase covered, for the survival-rate
 // counters. Callers hold the shard lock.
 func (sh *shard) tieredRescore(dst []Result, q *packedQuery, minSim float64, topK int, sc *shardScratch, scanned int) []Result {
 	t := sh.full.tier
@@ -430,17 +437,11 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, minSim float64, top
 	if len(sc.scored) == 0 {
 		return dst
 	}
-	slices.SortFunc(sc.scored, func(a, b scoredCand) int {
-		if a.matched != b.matched {
-			return int(b.matched - a.matched)
-		}
-		return int(a.idx - b.idx)
-	})
 	budget := int(t.budget.Load())
 	base := len(dst)
 	rescored := 0
 	slotsF := float64(q.slots)
-	for ci, c := range sc.scored {
+	for ci, c := range sc.sortSurvivors(q.slots) {
 		if budget > 0 && rescored >= budget {
 			break
 		}
@@ -449,10 +450,18 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, minSim float64, top
 		if ci&63 == 0 && q.cancel.canceled() {
 			break
 		}
-		if len(dst)-base >= topK && float64(c.matched)/slotsF < dst[base].Similarity {
+		if len(dst)-base >= topK {
 			// dst[base] is the root of the min-heap below: the K-th best
-			// full score. No remaining candidate's upper bound reaches it.
-			break
+			// result. A row whose bound only ties its score can displace
+			// it on the name tie-break alone (every result here shares
+			// q.name, so Ref decides).
+			bound, kth := float64(c.matched)/slotsF, dst[base].Similarity
+			if bound < kth {
+				break
+			}
+			if bound == kth && sh.names[c.idx] >= dst[base].Ref {
+				continue
+			}
 		}
 		row, err := sh.full.row(int(c.idx), &sc.rsc)
 		if err != nil {
@@ -463,9 +472,12 @@ func (sh *shard) tieredRescore(dst []Result, q *packedQuery, minSim float64, top
 		if sh.names[c.idx] == q.name && slices.Equal(q.full, row) {
 			continue
 		}
+		// prefilterRow leaves matched at 0 for zero-shingle sides, and no
+		// full slot matches where no packed lane did.
 		var sim float64
-		if q.slots != 0 && q.shingles != 0 && sh.shingles[c.idx] != 0 {
-			sim = float64(matchingSlots(q.full, row)) / slotsF
+		if c.matched > 0 {
+			m := sparseMatchingSlots(q.full, row, q.packed, sh.arena.row(int(c.idx)), sh.arena.bits, int(c.matched))
+			sim = float64(m) / slotsF
 		}
 		if sim < minSim {
 			continue

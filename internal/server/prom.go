@@ -54,6 +54,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("tombstone_ratio", "Dead rows as a fraction of all rows.", st.TombstoneRatio)
 	counter("compactions_total", "Shard compactions run.", int64(st.Compactions))
 	counter("compacted_rows_total", "Dead rows reclaimed by compaction.", int64(st.CompactedRows))
+	counter("lsh_fallback_scans_total", "LSH searches whose candidates could not fill K and also scanned the rest of the corpus.", int64(st.LSHFallbacks))
+
+	if tier := st.Tier; tier != nil {
+		counter("tier_prefilter_scanned_total", "Rows scored against the packed prefilter.", int64(tier.PrefilterScanned))
+		counter("tier_prefilter_survived_total", "Rows whose packed score cleared the query's min_similarity.", int64(tier.PrefilterSurvived))
+		counter("tier_rescored_total", "Rows read full-width from the tier and rescored.", int64(tier.Rescored))
+		counter("tier_read_errors_total", "Full-width row reads that failed; the row was skipped.", int64(tier.ReadErrors))
+	}
 
 	if wal := st.WAL; wal != nil {
 		gauge("wal_frames", "Frames in the WALs since the last snapshot.", float64(wal.Frames))

@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sketchengine/internal/core"
@@ -103,5 +105,70 @@ func TestTieredConfigValidation(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTierCountersExported: the tier's prefilter/rescore counters and
+// the LSH fallback-scan counter reach both /stats and /metrics with the
+// same values, and the tier series are absent on a non-tiered engine.
+func TestTierCountersExported(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(tieredTestEngine(t, dir), Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+	client := ts.Client()
+
+	if resp, body := postJSON(t, client, ts.URL+"/v1/records", ingestBody("alpha", "beta", "gamma", "delta")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, body)
+	}
+	// Four records cannot fill K=10, so the LSH search falls back to
+	// scanning whatever its probe did not reach.
+	if resp, body := postJSON(t, client, ts.URL+"/v1/search", SearchRequest{
+		Name: "q", Data: "an unrelated query sharing nothing with the corpus", K: 10, Mode: "lsh",
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search status = %d, body %s", resp.StatusCode, body)
+	}
+
+	_, body := getBody(t, client, ts.URL+"/stats")
+	var st struct {
+		Engine struct {
+			LSHFallbacks uint64          `json:"lsh_fallback_scans"`
+			Tier         *core.TierStats `json:"tier"`
+		} `json:"engine"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("stats body %s: %v", body, err)
+	}
+	tier := st.Engine.Tier
+	if st.Engine.LSHFallbacks != 1 || tier == nil || tier.PrefilterScanned == 0 || tier.Rescored == 0 {
+		t.Fatalf("stats after one fallback search: fallbacks=%d tier=%+v", st.Engine.LSHFallbacks, tier)
+	}
+
+	_, raw := getBody(t, client, ts.URL+"/metrics")
+	metrics := string(raw)
+	for _, want := range []string{
+		"# TYPE sketchengine_tier_rescored_total counter",
+		fmt.Sprintf("sketchengine_tier_prefilter_scanned_total %d\n", tier.PrefilterScanned),
+		fmt.Sprintf("sketchengine_tier_prefilter_survived_total %d\n", tier.PrefilterSurvived),
+		fmt.Sprintf("sketchengine_tier_rescored_total %d\n", tier.Rescored),
+		"sketchengine_tier_read_errors_total 0\n",
+		"sketchengine_lsh_fallback_scans_total 1\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Fatalf("metrics output missing %q:\n%s", want, metrics)
+		}
+	}
+
+	_, plain := newTestServer(t, Config{})
+	_, raw = getBody(t, plain.Client(), plain.URL+"/metrics")
+	if strings.Contains(string(raw), "sketchengine_tier_") {
+		t.Fatalf("non-tiered metrics carry tier series:\n%s", raw)
+	}
+	if !strings.Contains(string(raw), "sketchengine_lsh_fallback_scans_total 0\n") {
+		t.Fatalf("non-tiered metrics missing the fallback counter:\n%s", raw)
 	}
 }

@@ -58,7 +58,7 @@ BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1; iters = $2
     ns = ""; bytes_op = ""; allocs = ""; mb_s = ""; bytes_rec = ""
-    survival = ""; mapped_rec = ""; ack_ns = ""; fsync_ns = ""
+    survival = ""; mapped_rec = ""; ack_ns = ""; fsync_ns = ""; rescored = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")         ns = $i
         if ($(i+1) == "B/op")          bytes_op = $i
@@ -69,6 +69,7 @@ BEGIN { n = 0 }
         if ($(i+1) == "mappedB/rec")   mapped_rec = $i
         if ($(i+1) == "ingest_ack_ns") ack_ns = $i
         if ($(i+1) == "wal_fsync_ns")  fsync_ns = $i
+        if ($(i+1) == "rescored/op")   rescored = $i
     }
     line = sprintf("    {\"name\": \"%s\", \"iterations\": %s", name, iters)
     if (ns != "")         line = line sprintf(", \"ns_per_op\": %s", ns)
@@ -78,6 +79,7 @@ BEGIN { n = 0 }
     if (mapped_rec != "") line = line sprintf(", \"mapped_bytes_per_record\": %s", mapped_rec)
     if (ack_ns != "")     line = line sprintf(", \"ingest_ack_ns\": %s", ack_ns)
     if (fsync_ns != "")   line = line sprintf(", \"wal_fsync_ns\": %s", fsync_ns)
+    if (rescored != "")   line = line sprintf(", \"rescored_per_op\": %s", rescored)
     if (bytes_op != "")   line = line sprintf(", \"bytes_per_op\": %s", bytes_op)
     if (allocs != "")     line = line sprintf(", \"allocs_per_op\": %s", allocs)
     results[n++] = line "}"
@@ -104,9 +106,10 @@ END {
 # with the GOMAXPROCS suffix stripped so runs from machines with
 # different core counts stay comparable. Covers the time metric
 # (ns/op), the memory metric (bytes/rec), the tier-health metrics
-# (survival rate, mapped bytes per record), and the durability metrics
-# (acked-ingest latency, WAL fsync latency), so comparisons track
-# speed, footprint, selectivity, and durability cost side by side.
+# (survival rate, mapped bytes per record, full-width rows read per
+# search), and the durability metrics (acked-ingest latency, WAL fsync
+# latency), so comparisons track speed, footprint, selectivity, and
+# durability cost side by side.
 extract() {
     awk -F'"' '/"name":/ {
         name = $4
@@ -123,6 +126,8 @@ extract() {
             print name "\tingest_ack_ns\t" substr($0, RSTART + 17, RLENGTH - 17)
         if (match($0, /"wal_fsync_ns": [0-9.]+/))
             print name "\twal_fsync_ns\t" substr($0, RSTART + 16, RLENGTH - 16)
+        if (match($0, /"rescored_per_op": [0-9.]+/))
+            print name "\trescored/op\t" substr($0, RSTART + 19, RLENGTH - 19)
     }' "$1"
 }
 
