@@ -48,7 +48,11 @@ lint: linkcheck
 	@if command -v golangci-lint >/dev/null 2>&1; then \
 		golangci-lint run ./...; \
 	else \
-		echo "golangci-lint not installed; falling back to go vet"; \
+		echo "golangci-lint not installed; falling back to gofmt and go vet"; \
+		unformatted=$$(gofmt -l .); \
+		if [ -n "$$unformatted" ]; then \
+			echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+		fi; \
 		$(GO) vet ./...; \
 	fi
 

@@ -24,7 +24,7 @@ type testBackend struct {
 
 func (b *testBackend) addr() string { return strings.TrimPrefix(b.ts.URL, "http://") }
 
-func newTestBackend(t *testing.T) *testBackend {
+func newTestBackend(t testing.TB) *testBackend {
 	t.Helper()
 	eng, err := core.NewEngine(core.Options{K: 4, SignatureSize: 64, IndexName: "clustertest", Shards: 4})
 	if err != nil {
@@ -49,7 +49,7 @@ type testCluster struct {
 	ts       *httptest.Server // coordinator front end
 }
 
-func newTestCluster(t *testing.T, n, replication int) *testCluster {
+func newTestCluster(t testing.TB, n, replication int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	var addrs []string

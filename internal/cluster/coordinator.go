@@ -86,7 +86,7 @@ type Config struct {
 	MaxFanout int
 	// RetryBudget and RetryRefillPerSec size the coordinator-wide retry
 	// token bucket (see DefaultRetryBudget). Every retried backend call
-	// across search retry waves, hint replays, and repair traffic spends
+	// across search retry passes, hint replays, and repair traffic spends
 	// a token; an empty bucket denies the retry and the caller degrades.
 	// Zero means the defaults.
 	RetryBudget       int
@@ -343,11 +343,12 @@ type clusterMetrics struct {
 
 	requests       atomic.Int64
 	searches       atomic.Int64
+	fillWaves      atomic.Int64 // searches whose LSH candidates could not fill K
 	ingestRequests atomic.Int64
 	recordsRouted  atomic.Int64 // record-replica assignments routed by ingest
 	deletes        atomic.Int64
 
-	retries        atomic.Int64 // backend calls retried after a failed first wave
+	retries        atomic.Int64 // backend calls retried after a failed first pass
 	partials       atomic.Int64 // search responses degraded to partial
 	quorumFailures atomic.Int64 // records that missed their write quorum
 

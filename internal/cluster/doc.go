@@ -11,9 +11,11 @@
 // quorum are reported individually in the error envelope, never
 // silently dropped. Searches scatter to every live backend, merge the
 // per-backend bounded top-K heaps with core.MergeTopK — the same total
-// order the in-process per-shard merge uses, so a coordinator's answer
-// is byte-identical to a single node holding the same corpus — and
-// dedup replicated hits by name keeping the best score.
+// order the in-process per-shard merge uses — and dedup replicated hits
+// by name keeping the best score. An LSH search first asks only for
+// each backend's LSH candidates and adds an exact wave only when their
+// union cannot fill K, so in either mode a coordinator's answer is
+// byte-identical to a single node holding the same corpus.
 //
 // A health checker probes each backend's /healthz with
 // consecutive-failure hysteresis so one dropped probe never flaps the

@@ -10,8 +10,8 @@ import (
 	"sketchengine/internal/server"
 )
 
-// searchCall is one backend's slot in a scatter-gather: filled by the
-// first wave or the retry wave, whichever reaches the backend.
+// searchCall is one backend's slot in a search wave: filled by the
+// first pass or the retry pass, whichever reaches the backend.
 type searchCall struct {
 	b    *backend
 	resp server.SearchResponse
@@ -25,18 +25,27 @@ type searchCall struct {
 // top-Ks are concatenated, deduped by ref (replication means up to
 // Replication copies of every hit), and reduced with core.MergeTopK —
 // the same bounded-heap merge and total order the in-process per-shard
-// scan uses, which is what makes a coordinator's answer byte-identical
-// to a single node over the same corpus.
+// scan uses.
 //
-// Fault handling is two-staged. Backends marked down are skipped in
-// the first wave but, together with backends that failed it, get one
-// retry: the probe view lags reality, and a replica's partner having
-// answered does not excuse losing the records they do not share. Only
-// when the final non-responder count reaches the replication factor
-// could a whole replica set be unrepresented — then, and only then,
-// the response degrades to "partial": true. Anything less and every
-// record still has at least one responding replica, so the result is
-// provably complete and is returned unflagged.
+// An LSH search takes one or two waves, so that its answer is
+// byte-identical to a single node's over the same corpus, as an exact
+// search's is. The candidate wave asks every backend for the top-K of
+// its LSH candidates with no fallback scan. Candidacy is a per-record
+// band-key test, so the deduped union holds exactly the candidates a
+// single node would score: when it has at least K refs, its merge is
+// the single node's answer, and no backend has scanned its corpus.
+// Only when it has fewer does the fill wave ask every backend for exact
+// top-Ks, whose merge equals the single node's fallback (the exact
+// top-K over all rows). The response keeps the candidate wave's mode.
+// An exact search, or one that itself asks for candidates only, takes
+// one wave.
+//
+// Fault handling is per wave; see searchWave. Only when the final
+// non-responder count reaches the replication factor could a whole
+// replica set be unrepresented — then, and only then, the response
+// degrades to "partial": true. Anything less and every record still
+// has at least one responding replica, so the result is provably
+// complete and is returned unflagged.
 func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req server.SearchRequest
 	if !c.decodeBody(w, r, &req) {
@@ -69,37 +78,18 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	backends := c.backendList()
-	calls := make([]*searchCall, len(backends))
-	var firstWave []*searchCall
-	for i, b := range backends {
-		calls[i] = &searchCall{b: b}
-		if b.up.Load() {
-			firstWave = append(firstWave, calls[i])
-		}
-	}
-	c.scatterSearch(r.Context(), firstWave, &req)
-
-	var retryWave []*searchCall
-	for _, call := range calls {
-		if !call.ok {
-			retryWave = append(retryWave, call)
-		}
-	}
-	if len(retryWave) > 0 && len(retryWave) < len(calls) && c.budget.allow(len(retryWave)) {
-		// Retry failed and down-skipped backends once before giving up on
-		// them; a whole-cluster outage skips straight to the error below,
-		// and an exhausted retry budget degrades to partial rather than
-		// joining a retry storm against recovering backends.
-		c.metrics.retries.Add(int64(len(retryWave)))
-		c.scatterSearch(r.Context(), retryWave, &req)
-	}
-
-	responded := 0
-	for _, call := range calls {
-		if call.ok {
-			responded++
-		}
+	// Backends ignore candidates_only in exact mode, so the flag is
+	// safe on every first wave; the mode they report decides the fill
+	// (and is empty when no backend answered).
+	wave := req
+	wave.CandidatesOnly = true
+	calls, responded := c.searchWave(r.Context(), &wave)
+	pooled, mode := gatherSearch(calls, req.Name)
+	if !req.CandidatesOnly && mode == string(core.ModeLSH) && len(pooled) < k {
+		c.metrics.fillWaves.Add(1)
+		wave.Mode, wave.CandidatesOnly = string(core.ModeExact), false
+		calls, responded = c.searchWave(r.Context(), &wave)
+		pooled, _ = gatherSearch(calls, req.Name)
 	}
 	if responded == 0 {
 		server.WriteError(w, http.StatusBadGateway, CodeBackendDown, "search: no backend responded")
@@ -110,10 +100,68 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 		c.metrics.partials.Add(1)
 	}
 
-	// Concatenate, dedup by ref keeping the best-scored copy, merge.
-	// Replicated copies of a hit are byte-equal, so "best" only matters
-	// if replicas diverged mid-write; keeping the max keeps the answer
-	// monotone with the most complete replica.
+	merged := core.MergeTopK(pooled, k)
+	ring, _ := c.rings()
+	c.offerSearchRepairs(ring, calls, merged, k)
+	// Zero-hit responses must encode as "results":[], matching the
+	// single-node server (nil would marshal as null).
+	hits := make([]server.SearchHit, 0, len(merged))
+	for i, res := range merged {
+		hits = append(hits, server.SearchHit{Rank: i + 1, Ref: res.Ref, Similarity: res.Similarity, Distance: res.Distance})
+	}
+	server.WriteJSON(w, http.StatusOK, server.SearchResponse{
+		Query:   req.Name,
+		Mode:    mode,
+		Results: hits,
+		Partial: partial,
+	})
+}
+
+// searchWave sends req to every backend and returns each one's outcome
+// plus how many responded. Backends marked down are skipped in the
+// first pass but, together with backends that failed it, get one
+// retry: the probe view lags reality, and a replica's partner having
+// answered does not excuse losing the records they do not share. A
+// whole-cluster outage skips the retry, and an exhausted retry budget
+// degrades to partial rather than joining a retry storm against
+// recovering backends.
+func (c *Coordinator) searchWave(ctx context.Context, req *server.SearchRequest) ([]*searchCall, int) {
+	backends := c.backendList()
+	calls := make([]*searchCall, len(backends))
+	var first []*searchCall
+	for i, b := range backends {
+		calls[i] = &searchCall{b: b}
+		if b.up.Load() {
+			first = append(first, calls[i])
+		}
+	}
+	c.scatterSearch(ctx, first, req)
+
+	var retry []*searchCall
+	for _, call := range calls {
+		if !call.ok {
+			retry = append(retry, call)
+		}
+	}
+	if len(retry) > 0 && len(retry) < len(calls) && c.budget.allow(len(retry)) {
+		c.metrics.retries.Add(int64(len(retry)))
+		c.scatterSearch(ctx, retry, req)
+	}
+	responded := 0
+	for _, call := range calls {
+		if call.ok {
+			responded++
+		}
+	}
+	return calls, responded
+}
+
+// gatherSearch concatenates the responding backends' hits, deduped by
+// ref keeping the best-scored copy, and returns them with the mode the
+// first responder reported. Replicated copies of a hit are byte-equal,
+// so "best" only matters if replicas diverged mid-write; keeping the
+// max keeps the answer monotone with the most complete replica.
+func gatherSearch(calls []*searchCall, query string) ([]core.Result, string) {
 	var pooled []core.Result
 	seen := make(map[string]int)
 	mode := ""
@@ -134,28 +182,14 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 			}
 			seen[hit.Ref] = len(pooled)
 			pooled = append(pooled, core.Result{
-				Query:      req.Name,
+				Query:      query,
 				Ref:        hit.Ref,
 				Similarity: hit.Similarity,
 				Distance:   hit.Distance,
 			})
 		}
 	}
-	merged := core.MergeTopK(pooled, k)
-	ring, _ := c.rings()
-	c.offerSearchRepairs(ring, calls, merged, k)
-	// Zero-hit responses must encode as "results":[], matching the
-	// single-node server (nil would marshal as null).
-	hits := make([]server.SearchHit, 0, len(merged))
-	for i, res := range merged {
-		hits = append(hits, server.SearchHit{Rank: i + 1, Ref: res.Ref, Similarity: res.Similarity, Distance: res.Distance})
-	}
-	server.WriteJSON(w, http.StatusOK, server.SearchResponse{
-		Query:   req.Name,
-		Mode:    mode,
-		Results: hits,
-		Partial: partial,
-	})
+	return pooled, mode
 }
 
 // offerSearchRepairs turns search results into anti-entropy signals: a

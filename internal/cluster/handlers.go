@@ -52,7 +52,7 @@ type HealthResponse struct {
 type BackendStats struct {
 	Addr string `json:"addr"`
 	Up   bool   `json:"up"`
-	// Breaker is the circuit-breaker state gating first-wave traffic to
+	// Breaker is the circuit-breaker state gating first-pass traffic to
 	// this backend: "closed" (healthy), "open" (shed), or "half-open"
 	// (recovery probation). The transition counters record how often the
 	// breaker tripped, entered probation, and recovered.
@@ -115,18 +115,21 @@ type RetryBudgetStats struct {
 
 // StatsResponse is the coordinator's GET /stats body.
 type StatsResponse struct {
-	UptimeSeconds  float64        `json:"uptime_seconds"`
-	Replication    int            `json:"replication"`
-	WriteQuorum    int            `json:"write_quorum"`
-	Ring           []string       `json:"ring"`
-	Requests       int64          `json:"requests"`
-	Searches       int64          `json:"searches"`
-	IngestRequests int64          `json:"ingest_requests"`
-	RecordsRouted  int64          `json:"records_routed"`
-	Deletes        int64          `json:"deletes"`
-	Retries        int64          `json:"retries"`
-	PartialResults int64          `json:"partial_results"`
-	QuorumFailures int64          `json:"quorum_failures"`
+	UptimeSeconds  float64  `json:"uptime_seconds"`
+	Replication    int      `json:"replication"`
+	WriteQuorum    int      `json:"write_quorum"`
+	Ring           []string `json:"ring"`
+	Requests       int64    `json:"requests"`
+	Searches       int64    `json:"searches"`
+	IngestRequests int64    `json:"ingest_requests"`
+	RecordsRouted  int64    `json:"records_routed"`
+	Deletes        int64    `json:"deletes"`
+	Retries        int64    `json:"retries"`
+	PartialResults int64    `json:"partial_results"`
+	QuorumFailures int64    `json:"quorum_failures"`
+	// SearchFillWaves counts LSH searches whose candidate wave could
+	// not fill K, so every backend also ran an exact scan.
+	SearchFillWaves int64 `json:"search_fill_waves"`
 	// Shed counts fan-outs refused with 503 at the MaxFanout bound;
 	// DeadlineExceeded counts backend calls that came back 504 after the
 	// propagated deadline expired.
@@ -197,18 +200,19 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	m := c.metrics
 	ring, _ := c.rings()
 	server.WriteJSON(w, http.StatusOK, StatsResponse{
-		UptimeSeconds:  time.Since(m.start).Seconds(),
-		Replication:    c.cfg.Replication,
-		WriteQuorum:    c.quorum(),
-		Ring:           ring.Backends(),
-		Requests:       m.requests.Load(),
-		Searches:       m.searches.Load(),
-		IngestRequests: m.ingestRequests.Load(),
-		RecordsRouted:  m.recordsRouted.Load(),
-		Deletes:        m.deletes.Load(),
+		UptimeSeconds:    time.Since(m.start).Seconds(),
+		Replication:      c.cfg.Replication,
+		WriteQuorum:      c.quorum(),
+		Ring:             ring.Backends(),
+		Requests:         m.requests.Load(),
+		Searches:         m.searches.Load(),
+		IngestRequests:   m.ingestRequests.Load(),
+		RecordsRouted:    m.recordsRouted.Load(),
+		Deletes:          m.deletes.Load(),
 		Retries:          m.retries.Load(),
 		PartialResults:   m.partials.Load(),
 		QuorumFailures:   m.quorumFailures.Load(),
+		SearchFillWaves:  m.fillWaves.Load(),
 		Shed:             m.shed.Load(),
 		DeadlineExceeded: m.deadlineExceeded.Load(),
 		RetryBudget: RetryBudgetStats{
@@ -267,17 +271,18 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("requests_total", "Requests accepted by the coordinator.", m.requests.Load())
 	counter("searches_total", "Search fan-outs served.", m.searches.Load())
+	counter("search_fill_waves_total", "LSH searches whose candidate wave could not fill K and took an exact fill wave.", m.fillWaves.Load())
 	counter("ingest_requests_total", "Ingest requests received.", m.ingestRequests.Load())
 	counter("records_routed_total", "Record-replica assignments routed by ingest.", m.recordsRouted.Load())
 	counter("deletes_total", "Deletes routed to replica sets.", m.deletes.Load())
-	counter("retries_total", "Backend calls retried after a failed first wave.", m.retries.Load())
+	counter("retries_total", "Backend calls retried after a failed first pass.", m.retries.Load())
 	counter("partial_results_total", "Search responses degraded to partial.", m.partials.Load())
 	counter("quorum_failures_total", "Records that missed their write quorum.", m.quorumFailures.Load())
 	counter("shed_total", "Fan-outs refused with 503 at the MaxFanout bound.", m.shed.Load())
 	counter("deadline_exceeded_total", "Backend calls that answered 504 past the propagated deadline.", m.deadlineExceeded.Load())
 	fmt.Fprintf(&buf, "# HELP sketchengine_cluster_retry_budget_tokens Retry tokens currently available.\n# TYPE sketchengine_cluster_retry_budget_tokens gauge\nsketchengine_cluster_retry_budget_tokens %.3f\n",
 		c.budget.remaining())
-	counter("retry_budget_spent_total", "Retry tokens spent on second waves, hint replays, and repair copies.", c.budget.spent.Load())
+	counter("retry_budget_spent_total", "Retry tokens spent on retry passes, hint replays, and repair copies.", c.budget.spent.Load())
 	counter("retry_budget_denied_total", "Retries denied on an empty budget.", c.budget.denied.Load())
 
 	gauge("hint_depth", "Hints pending across all backends.", int64(c.hints.depth()))

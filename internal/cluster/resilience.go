@@ -8,7 +8,7 @@ import (
 
 // Per-backend circuit breaker states. The breaker subsumes the old
 // consecutive-failure health hysteresis: closed is the healthy state,
-// open means the backend is shed from first-wave traffic, and half-open
+// open means the backend is shed from first-pass traffic, and half-open
 // is the recovery probation — successes are flowing but fewer than
 // UpAfter of them have accumulated, so one failure snaps straight back
 // to open. The up flag request paths read is derived: true iff closed.
@@ -105,7 +105,7 @@ func (c *Coordinator) observeBreaker(b *backend, ok, fromProbe bool) {
 }
 
 // retryBudget is the coordinator-wide token bucket that caps retry
-// amplification: every retried backend call — search second waves, hint
+// amplification: every retried backend call — search retry passes, hint
 // replays, repair copies, enumeration retries — spends one token, and
 // tokens refill at a fixed rate. When the bucket runs dry retries are
 // denied (the caller degrades: a search goes partial, a hint stays
@@ -126,7 +126,7 @@ func newRetryBudget(max int, rate float64) *retryBudget {
 	return &retryBudget{tokens: float64(max), max: float64(max), rate: rate, last: time.Now()}
 }
 
-// allow takes n tokens, or none: a half-granted retry wave would retry
+// allow takes n tokens, or none: a half-granted retry pass would retry
 // some backends and silently skip others, which is worse than an
 // honest denial. It reports whether the tokens were granted.
 func (rb *retryBudget) allow(n int) bool {

@@ -290,9 +290,12 @@ type Stats struct {
 	TombstoneRatio float64 `json:"tombstone_ratio,omitempty"`
 	Compactions    uint64  `json:"compactions,omitempty"`
 	CompactedRows  uint64  `json:"compacted_rows,omitempty"`
-	// LSHFallbacks counts LSH searches whose candidates could not
-	// fill K, so they scored the rest of the corpus as well.
-	LSHFallbacks uint64 `json:"lsh_fallback_scans"`
+	// LSHCandidates counts the rows LSH probes returned as candidates,
+	// summed over searches; LSHFallbacks counts LSH searches whose
+	// candidates could not fill K, so they scored the rest of the
+	// corpus as well.
+	LSHCandidates uint64 `json:"lsh_candidates"`
+	LSHFallbacks  uint64 `json:"lsh_fallback_scans"`
 	// Tier and WAL are present only on tiered indexes.
 	Tier *TierStats `json:"tier,omitempty"`
 	WAL  *WALStats  `json:"wal,omitempty"`
@@ -334,6 +337,7 @@ func (e *Engine) Stats() Stats {
 		TombstoneRatio: tombRatio,
 		Compactions:    e.index.compactions.Load(),
 		CompactedRows:  e.index.compactedRows.Load(),
+		LSHCandidates:  e.index.lshCandidates.Load(),
 		LSHFallbacks:   e.index.lshFallbacks.Load(),
 		Tier:           e.index.Tier(),
 		WAL:            e.index.WAL(),
@@ -353,15 +357,17 @@ func (e *Engine) Search(rec Record, topK int, minSim float64) ([]Result, error) 
 // is emitted with SketchInto, so a steady-state search sketches into a
 // warm buffer instead of allocating a signature per request.
 func (e *Engine) SearchMode(rec Record, mode SearchMode, topK int, minSim float64) ([]Result, error) {
-	return e.SearchModeCtx(context.Background(), rec, mode, topK, minSim)
+	return e.SearchModeCtx(context.Background(), rec, mode, topK, minSim, false)
 }
 
 // SearchModeCtx is SearchMode under a context: the scoring loops poll
 // ctx every few hundred records and the query returns ctx's error
 // instead of partial results when it fires — how a serving layer aborts
 // in-flight scoring once the caller's deadline passes or the client
-// disconnects. A background context adds no overhead.
-func (e *Engine) SearchModeCtx(ctx context.Context, rec Record, mode SearchMode, topK int, minSim float64) ([]Result, error) {
+// disconnects. A background context adds no overhead. candidatesOnly
+// drops ModeLSH's fallback scan (see SearchLSHCandidatesCtx); exact
+// mode ignores it.
+func (e *Engine) SearchModeCtx(ctx context.Context, rec Record, mode SearchMode, topK int, minSim float64, candidatesOnly bool) ([]Result, error) {
 	q, _ := e.queries.Get().(*Sketch)
 	if q == nil || len(q.Signature) != e.sketcher.SignatureSize() {
 		q = &Sketch{Signature: make([]uint64, e.sketcher.SignatureSize())}
@@ -372,9 +378,12 @@ func (e *Engine) SearchModeCtx(ctx context.Context, rec Record, mode SearchMode,
 	q.Shingles = e.sketcher.SketchInto(q.Signature, rec)
 	var res []Result
 	var err error
-	if mode == ModeExact {
+	switch {
+	case mode == ModeExact:
 		res, err = SearchTopKCtx(ctx, e.index, q, topK, minSim, e.pool)
-	} else {
+	case candidatesOnly:
+		res, err = SearchLSHCandidatesCtx(ctx, e.index, q, topK, minSim, e.pool)
+	default:
 		res, err = SearchTopKLSHCtx(ctx, e.index, q, topK, minSim, e.pool)
 	}
 	// Results carry only the name string; the signature buffer never

@@ -82,6 +82,7 @@ type Index struct {
 	compactions   atomic.Uint64 // compaction passes that dropped rows
 	compactedRows atomic.Uint64 // tombstoned rows reclaimed by compaction
 	lshFallbacks  atomic.Uint64 // LSH searches that fell back to scanning the rest
+	lshCandidates atomic.Uint64 // rows the LSH probes returned as candidates
 }
 
 // NewIndex returns an empty index accepting sketches with the given

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -226,6 +228,43 @@ func TestLSHFallbackOnSparseIndex(t *testing.T) {
 	for i := range exact {
 		if exact[i] != lsh[i] {
 			t.Fatalf("result %d differs: exact=%+v lsh=%+v", i, exact[i], lsh[i])
+		}
+	}
+}
+
+// TestLSHCandidatesOnly: the candidates-only search returns the same
+// list as SearchTopKLSH whenever the candidates fill K, and otherwise
+// returns just the candidates, never scanning the rest of the corpus.
+func TestLSHCandidatesOnly(t *testing.T) {
+	ix, q := plantedCorpus(t, 1000, 30, 7)
+	ctx := context.Background()
+	for _, topK := range []int{10, 100} {
+		fallbacks, probed := ix.lshFallbacks.Load(), ix.lshCandidates.Load()
+		got, err := SearchLSHCandidatesCtx(ctx, ix, q, topK, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ix.lshFallbacks.Load() != fallbacks {
+			t.Fatalf("K=%d: candidates-only search ran a fallback scan", topK)
+		}
+		cands := ix.lshCandidates.Load() - probed
+		if cands < 30 || cands >= 100 {
+			t.Fatalf("K=%d: probe counted %d candidates, want the 30 planted and few others", topK, cands)
+		}
+		want, err := SearchTopKLSHCtx(ctx, ix, q, topK, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topK == 10 {
+			if !slices.Equal(got, want) {
+				t.Fatalf("K=10: candidates-only %v, want %v", got, want)
+			}
+			continue
+		}
+		// K=100 outruns the candidates: the full search falls back and
+		// pads, the candidates-only one returns the candidates' prefix.
+		if len(got) != int(cands) || len(want) != topK || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("K=100: candidates-only returned %d results (%d candidates), full %d", len(got), cands, len(want))
 		}
 	}
 }

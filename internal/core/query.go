@@ -358,6 +358,23 @@ func SearchTopKLSH(ix *Index, query *Sketch, topK int, minSim float64, pool *Poo
 // SearchTopKLSHCtx is SearchTopKLSH with cooperative cancellation,
 // under the same contract as SearchTopKCtx.
 func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
+	return searchLSH(ctx, ix, query, topK, minSim, pool, true)
+}
+
+// SearchLSHCandidatesCtx is SearchTopKLSHCtx without the fallback: it
+// returns the top-K among the LSH candidates alone, which may be fewer
+// than K. Candidacy is a per-record test (some band key of the record
+// equals the query's), so across a cluster the union of every node's
+// candidate top-K holds exactly the candidates one node over the whole
+// corpus would score. That lets a coordinator skip the fallback on every
+// backend whenever the union fills K; see the cluster package.
+func SearchLSHCandidatesCtx(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool) ([]Result, error) {
+	return searchLSH(ctx, ix, query, topK, minSim, pool, false)
+}
+
+// searchLSH probes the band buckets, scores the candidates and, when
+// fill is set and they cannot fill topK, scores the rest of the corpus.
+func searchLSH(ctx context.Context, ix *Index, query *Sketch, topK int, minSim float64, pool *Pool, fill bool) ([]Result, error) {
 	if err := checkSearchArgs(ix, query, topK); err != nil {
 		return nil, err
 	}
@@ -376,6 +393,7 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 		sh.probeCandidates(q, &buf.scratch[si])
 		totalCand += len(buf.scratch[si].cands)
 	}
+	ix.lshCandidates.Add(uint64(totalCand))
 	scoreCands := func(sh *shard, sc *shardScratch, dst []Result) []Result {
 		return sh.scoreCandidates(dst, q, minSim, sc)
 	}
@@ -391,7 +409,7 @@ func SearchTopKLSHCtx(ctx context.Context, ix *Index, query *Sketch, topK int, m
 		}
 	}
 	merged := runScan(buf, shards, q, topK, minSim, pool, totalCand, scoreCands)
-	if n := ix.Len(); len(merged) < topK && totalCand < n && !q.cancel.canceled() {
+	if n := ix.Len(); fill && len(merged) < topK && totalCand < n && !q.cancel.canceled() {
 		// Fallback: score only the records the candidate pass skipped
 		// (each shard's bitset marks its probed rows), so no record is
 		// scored twice and the merged set matches an exact scan.

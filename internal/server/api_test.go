@@ -234,6 +234,56 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSearchCandidatesOnly: candidates_only makes an LSH search return
+// only its candidates, skipping the fallback scan even below K; exact
+// mode ignores it. /stats and /metrics count the probed candidates.
+func TestSearchCandidatesOnly(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	client := ts.Client()
+	if resp, body := postJSON(t, client, ts.URL+"/v1/records", ingestBody("alpha", "beta", "gamma")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d, body %s", resp.StatusCode, body)
+	}
+	search := func(req SearchRequest) (SearchResponse, core.Stats) {
+		t.Helper()
+		resp, body := postJSON(t, client, ts.URL+"/v1/search", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("search %+v: status %d, body %s", req, resp.StatusCode, body)
+		}
+		var sr SearchResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		_, body = getBody(t, client, ts.URL+"/stats")
+		var st StatsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		return sr, st.Engine
+	}
+
+	miss := SearchRequest{Name: "q", Data: "an unrelated query sharing nothing with the corpus", K: 10, Mode: "lsh", CandidatesOnly: true}
+	if sr, st := search(miss); len(sr.Results) != 0 || sr.Mode != "lsh" || st.LSHFallbacks != 0 || st.LSHCandidates != 0 {
+		t.Fatalf("candidates-only miss: %d results, mode %q, %d fallbacks, %d candidates; want none of each", len(sr.Results), sr.Mode, st.LSHFallbacks, st.LSHCandidates)
+	}
+	hit := SearchRequest{Name: "q", Data: ingestBody("delta").Records[0].Data, K: 10, Mode: "lsh", CandidatesOnly: true}
+	if sr, st := search(hit); len(sr.Results) != 3 || st.LSHFallbacks != 0 || st.LSHCandidates != 3 {
+		t.Fatalf("candidates-only hit: %d results, %d fallbacks, %d candidates; want 3, 0, 3", len(sr.Results), st.LSHFallbacks, st.LSHCandidates)
+	}
+	miss.CandidatesOnly = false
+	if sr, st := search(miss); len(sr.Results) != 3 || st.LSHFallbacks != 1 {
+		t.Fatalf("lsh miss: %d results, %d fallbacks; want the fallback's 3 and 1", len(sr.Results), st.LSHFallbacks)
+	}
+	miss.Mode, miss.CandidatesOnly = "exact", true
+	if sr, _ := search(miss); len(sr.Results) != 3 || sr.Mode != "exact" {
+		t.Fatalf("exact search with candidates_only: %d results, mode %q; want 3 exact", len(sr.Results), sr.Mode)
+	}
+
+	_, raw := getBody(t, client, ts.URL+"/metrics")
+	if !strings.Contains(string(raw), "sketchengine_lsh_candidates_total 3\n") {
+		t.Fatalf("metrics missing the candidate counter:\n%s", raw)
+	}
+}
+
 // TestRebucketEndpoint: POST /v1/admin/rebucket retunes the banding on
 // a live server; bad schemes are rejected with the envelope.
 func TestRebucketEndpoint(t *testing.T) {

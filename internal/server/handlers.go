@@ -47,13 +47,17 @@ type IngestResponse struct {
 
 // SearchRequest is the body of POST /v1/search. K, MinSimilarity and
 // Mode override the server defaults per request; zero values keep them
-// (K defaults to 10, Mode to the engine's mode).
+// (K defaults to 10, Mode to the engine's mode). CandidatesOnly skips
+// the LSH fallback scan, so an LSH search returns only candidates,
+// possibly fewer than K; exact mode ignores it. The cluster coordinator
+// sets it on its first wave.
 type SearchRequest struct {
-	Name          string  `json:"name"`
-	Data          string  `json:"data"`
-	K             int     `json:"k"`
-	MinSimilarity float64 `json:"min_similarity"`
-	Mode          string  `json:"mode"`
+	Name           string  `json:"name"`
+	Data           string  `json:"data"`
+	K              int     `json:"k"`
+	MinSimilarity  float64 `json:"min_similarity"`
+	Mode           string  `json:"mode"`
+	CandidatesOnly bool    `json:"candidates_only,omitempty"`
 }
 
 // SearchHit is one ranked search result.
@@ -373,7 +377,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	s.metrics.searches.Add(1)
-	results, err := s.eng.SearchModeCtx(ctx, core.Record{Name: req.Name, Data: []byte(req.Data)}, mode, k, req.MinSimilarity)
+	results, err := s.eng.SearchModeCtx(ctx, core.Record{Name: req.Name, Data: []byte(req.Data)}, mode, k, req.MinSimilarity, req.CandidatesOnly)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -603,7 +607,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		faults = p.Counters()
 	}
 	WriteJSON(w, http.StatusOK, StatsResponse{
-		Faults: faults,
+		Faults:        faults,
 		Engine:        s.eng.Stats(),
 		UptimeSeconds: m.uptime().Seconds(),
 		Requests: RequestStats{

@@ -54,6 +54,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("tombstone_ratio", "Dead rows as a fraction of all rows.", st.TombstoneRatio)
 	counter("compactions_total", "Shard compactions run.", int64(st.Compactions))
 	counter("compacted_rows_total", "Dead rows reclaimed by compaction.", int64(st.CompactedRows))
+	counter("lsh_candidates_total", "Rows LSH probes returned as candidates, summed over searches.", int64(st.LSHCandidates))
 	counter("lsh_fallback_scans_total", "LSH searches whose candidates could not fill K and also scanned the rest of the corpus.", int64(st.LSHFallbacks))
 
 	if tier := st.Tier; tier != nil {
